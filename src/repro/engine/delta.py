@@ -28,10 +28,7 @@ __all__ = ["DatasetDelta", "DeltaJournal"]
 
 #: Delta kinds: ``append`` adds rows ``[start, stop)`` at the end of the
 #: parent version's dataset; ``rebuild`` invalidates everything;
-#: ``schema`` changes the feature space itself (row count preserved) —
-#: the recorded :class:`~repro.data.evolution.SchemaDelta` rides along so
-#: consumers can classify what survives (see ``EditState
-#: .apply_schema_delta``).
+#: ``schema`` changes the feature space itself (row count preserved).
 APPEND = "append"
 REBUILD = "rebuild"
 SCHEMA = "schema"
@@ -49,9 +46,9 @@ class DatasetDelta:
         Token of the version this delta was applied to.
     start, stop:
         Appended row range ``[start, stop)`` for ``kind="append"``;
-        ``(0, 0)`` for rebuilds.
+        ``(0, 0)`` otherwise.
     kind:
-        ``"append"`` or ``"rebuild"``.
+        ``"append"``, ``"rebuild"`` or ``"schema"``.
     provenance:
         Who recorded the delta (``"accepted-batch"``, ``"setup"``, ...),
         for audits and progress displays.
@@ -63,9 +60,6 @@ class DatasetDelta:
     stop: int = 0
     kind: str = APPEND
     provenance: str = ""
-    #: The :class:`~repro.data.evolution.SchemaDelta` behind a
-    #: ``kind="schema"`` entry (``None`` for row deltas).
-    schema_delta: object = None
 
     @property
     def n_appended(self) -> int:
@@ -75,10 +69,6 @@ class DatasetDelta:
     @property
     def is_append(self) -> bool:
         return self.kind == APPEND
-
-    @property
-    def is_schema(self) -> bool:
-        return self.kind == SCHEMA
 
 
 class DeltaJournal:
@@ -131,19 +121,14 @@ class DeltaJournal:
             DatasetDelta(version, parent, 0, 0, REBUILD, provenance)
         )
 
-    def record_schema(
-        self, parent: int, version: int, schema_delta, provenance: str = ""
-    ) -> DatasetDelta:
+    def record_schema(self, parent: int, version: int, provenance: str = "") -> DatasetDelta:
         """Record that ``version`` is ``parent`` after a schema migration.
 
         Row count and row identity are preserved, but columns changed;
         :meth:`appended_between` treats the boundary as uncrossable (the
-        safe answer), while schema-aware consumers can inspect
-        ``delta.schema_delta`` to decide per-cache survival.
+        safe answer).
         """
-        return self.record(
-            DatasetDelta(version, parent, 0, 0, SCHEMA, provenance, schema_delta)
-        )
+        return self.record(DatasetDelta(version, parent, 0, 0, SCHEMA, provenance))
 
     # ------------------------------------------------------------------ #
     def get(self, version: int) -> DatasetDelta | None:

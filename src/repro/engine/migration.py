@@ -86,13 +86,15 @@ def migration_from_jsonable(data: dict[str, Any]) -> SchemaMigrationRecord:
 
 
 def apply_schema_delta(
-    state, delta: SchemaDelta, *, provenance: str = "migration"
+    state, delta: SchemaDelta, *, provenance: str = "migration", emit: bool = True
 ) -> SchemaMigrationRecord:
     """Apply one schema delta to a live :class:`EditState` at a boundary.
 
     Raises :class:`~repro.data.evolution.SchemaMigrationError` — with the
     state untouched — when the delta cannot apply (dropping/retyping a
-    column an active rule references, unknown column, bad cast).
+    column an active rule references, unknown column, bad cast).  With
+    ``emit=False`` no ``"schema"`` event fires: journal fast-forward
+    re-applies migrations silently, as it replays iterations.
     """
     old_schema = state.active.X.schema
     if state.schema_version is None or state.schema_version.schema != old_schema:
@@ -106,7 +108,7 @@ def apply_schema_delta(
     old_predictions = state.predictions_cache
     old_assign = state.assign_cache
     parent_version = state.dataset_version
-    state.record_schema_delta(delta, provenance)
+    state.record_schema_delta(provenance)
     state.active = new_active
     state.frs = new_frs
     state.schema_version = state.schema_version.advance(delta)
@@ -164,5 +166,6 @@ def apply_schema_delta(
         model_refit=refit,
     )
     state.schema_log.append(record)
-    state.emit("schema", schema=record)
+    if emit:
+        state.emit("schema", schema=record)
     return record

@@ -31,6 +31,7 @@ from repro.core.objective import evaluate_predictions
 from repro.core.preselect import preselect_base_population
 from repro.core.selection import SelectionContext
 from repro.data.dataset import Dataset
+from repro.data.table import Table
 from repro.engine.registry import SELECTORS
 from repro.engine.state import EditState, IterationRecord
 
@@ -220,6 +221,54 @@ class GenerationStage:
         state.per_rule_counts = counts
 
 
+def stage_batch(state: EditState, table: Table, labels: np.ndarray) -> tuple[Dataset, bool]:
+    """The tentative dataset D̂ ∪ batch, staged without copying D̂.
+
+    Returns ``(candidate, staged)``: ``staged`` says the candidate lives
+    in the state's builder (commit on acceptance).  Falls back to a
+    concat when no builder owns the active dataset — after a schema
+    migration, or when a custom stage assigned ``state.active`` directly
+    and recorded a rebuild delta (which drops the builder) — at the
+    legacy O(n) cost for that one acceptance.
+    """
+    builder = state.active_builder
+    if builder is not None and builder.n_rows == state.active.n:
+        return builder.stage(table, labels), True
+    batch = Dataset(table, labels, state.active.label_names)
+    return Dataset.concat([state.active, batch]), False
+
+
+def commit_batch(
+    state: EditState,
+    candidate: Dataset,
+    staged: bool,
+    per_rule_counts: list[int],
+    provenance: str,
+) -> None:
+    """Make an accepted candidate from :func:`stage_batch` the active
+    dataset, crediting its rows to this iteration's rules.
+
+    The one batch commit: the acceptance stage runs it live, and journal
+    fast-forward runs it for every replayed accepted batch.
+    """
+    n_appended = candidate.n - state.active.n
+    if staged:
+        state.active_builder.commit(candidate.n)
+        state.active = candidate
+    else:
+        # Concat fallback accepted: re-home the active dataset into a
+        # fresh builder (same storage policy as setup) so later batches
+        # append in O(batch) again.
+        state.active_builder = state.make_builder(candidate)
+        state.active = state.active_builder.snapshot()
+    state.n_added += n_appended
+    state.provenance = state.provenance.extend_synthetic(
+        per_rule_counts, state.iteration
+    )
+    state.population_stale = True
+    state.record_append(n_appended, provenance)
+
+
 class AcceptanceStage:
     """Retrain on the tentative dataset and keep the batch iff ĵ improves.
 
@@ -254,7 +303,7 @@ class AcceptanceStage:
             self._finish_iteration(state, record, "empty-batch", t0)
             return
 
-        candidate, staged = self._stage_candidate(state)
+        candidate, staged = stage_batch(state, state.batch.table, state.batch.labels)
 
         # Train the candidate model: a partial refit when the incremental
         # path is on and the model supports it, else a full fit.
@@ -283,30 +332,18 @@ class AcceptanceStage:
         )
         external: float | None = None
         if improved:
-            if staged:
-                state.active_builder.commit(candidate.n)
-                state.active = candidate
-            else:
-                # Concat fallback accepted: re-home the active dataset
-                # into a fresh builder (same storage policy as setup) so
-                # later batches append in O(batch) again.
-                state.active_builder = state.make_builder(candidate)
-                state.active = state.active_builder.snapshot()
-            state.n_added += state.batch.n
             state.best_loss = cand_loss
             state.model = cand_model
             state.evaluation = cand_eval
-            state.provenance = state.provenance.extend_synthetic(
-                state.per_rule_counts, state.iteration
-            )
-            state.population_stale = True
             # The candidate predictions over the pre-batch rows seed the
-            # prediction cache before the version moves, so the appended
-            # rows are all the next prediction pass has left to cover
-            # (incremental mode) — and the append delta keeps the FRS
-            # assignment cache extendable in every mode.
+            # prediction cache before the commit moves the version, so
+            # the appended rows are all the next prediction pass has
+            # left to cover (incremental mode) — and the append delta
+            # keeps the FRS assignment cache extendable in every mode.
             state.seed_predictions(cand_model, cand_pred)
-            state.record_append(state.batch.n, "accepted-batch")
+            commit_batch(
+                state, candidate, staged, state.per_rule_counts, "accepted-batch"
+            )
             if state.eval_callback is not None:
                 external = float(state.eval_callback(state.model))
         elif partial_token is not None:
@@ -322,32 +359,6 @@ class AcceptanceStage:
         )
         self._finish_iteration(
             state, record, "accepted" if improved else "rejected", t0
-        )
-
-    @staticmethod
-    def _stage_candidate(state: EditState) -> tuple[Dataset, bool]:
-        """The tentative dataset D̂ ∪ batch, staged without copying D̂.
-
-        Returns ``(candidate, staged)``: ``staged`` says the candidate
-        lives in the state's builder (commit on acceptance).  Falls back
-        to a concat when no builder owns the active dataset — custom
-        stages that assign ``state.active`` directly and record a
-        rebuild delta (which drops the builder) keep working, at the
-        legacy O(n) cost for that one acceptance.
-        """
-        builder = state.active_builder
-        if builder is not None and builder.n_rows == state.active.n:
-            return builder.stage(state.batch.table, state.batch.labels), True
-        return (
-            Dataset.concat(
-                [
-                    state.active,
-                    Dataset(
-                        state.batch.table, state.batch.labels, state.active.label_names
-                    ),
-                ]
-            ),
-            False,
         )
 
     def _finish_iteration(

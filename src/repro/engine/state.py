@@ -312,7 +312,7 @@ class EditState:
             parent, self.dataset_version, n - n_appended, n, provenance
         )
 
-    def record_schema_delta(self, schema_delta: Any, provenance: str = "") -> DatasetDelta:
+    def record_schema_delta(self, provenance: str = "") -> DatasetDelta:
         """Move to a fresh dataset version across a schema migration.
 
         Row count and identity are preserved but the feature space
@@ -321,15 +321,12 @@ class EditState:
         active dataset on the next accepted batch.  Cache survival is
         *selective*, decided per delta kind by
         :func:`repro.engine.migration.apply_schema_delta` (which calls
-        this); the journal entry carries the schema delta so any other
-        consumer can classify for itself.
+        this).
         """
         parent = self.dataset_version
         self.dataset_version = next(_DATASET_VERSIONS)
         self.active_builder = None
-        return self.journal.record_schema(
-            parent, self.dataset_version, schema_delta, provenance
-        )
+        return self.journal.record_schema(parent, self.dataset_version, provenance)
 
     def make_builder(self, dataset: Dataset) -> DatasetBuilder:
         """Home ``dataset`` in a fresh append builder under the config's

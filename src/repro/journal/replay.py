@@ -14,11 +14,15 @@ Two consumers of a session journal live here:
 :func:`run_journaled`
     Journal-based crash-resume.  Re-running a journaled session
     fast-forwards through every committed iteration instead of
-    recomputing it: accepted batches are re-applied from their journaled
-    rows (O(batch) builder appends), the model is refit once at the
-    resume point, and the RNG is restored to its journaled
-    post-iteration state — so the continuation consumes the exact random
-    stream the uninterrupted run would have.
+    recomputing it: journaled rule and schema deltas are re-applied at
+    their iteration boundaries in write order (the order the live run
+    applied them), accepted batches are re-committed from their
+    journaled rows through the acceptance stage's own commit
+    (:func:`~repro.engine.stages.commit_batch`, O(batch) builder
+    appends), the model is refit once at the resume point, and the RNG
+    is restored to its journaled post-iteration state — so the
+    continuation consumes the exact random stream the uninterrupted run
+    would have.
 
 Exactness contract
 ------------------
@@ -130,7 +134,8 @@ class ReplayIteration:
 
 @dataclass
 class _Span:
-    """One logical run within a journal: a run-meta plus its iterations.
+    """One logical run within a journal: a run-meta plus its iterations
+    and boundary deltas.
 
     A ``run-meta`` record starts a new span; ``run-resumed`` continues
     the latest one (crash-resume keeps extending the same logical run).
@@ -143,15 +148,15 @@ class _Span:
     iterations: dict[int, Record] = field(default_factory=dict)
     resumes: list[Record] = field(default_factory=list)
     finished: Record | None = None
-    #: ``ruleset-delta`` records in write order.  Unlike iterations these
-    #: are kept as a list: a crash between a delta's fsync and its
-    #: iteration's commit makes the resumed process re-apply (and
-    #: re-journal) the same delta, so consumers dedupe by content key
-    #: (see :func:`_delta_key`) rather than by position.
-    rulesets: list[Record] = field(default_factory=list)
-    #: ``schema-delta`` records in write order, content-deduped the same
-    #: way (see :func:`_schema_key`).
-    schemas: list[Record] = field(default_factory=list)
+    #: ``ruleset-delta`` and ``schema-delta`` records, both kinds in one
+    #: list in write order.  A delta is journaled as it is applied,
+    #: before its boundary's ``iteration`` record, so write order is the
+    #: live application order.  Unlike iterations these are kept as a
+    #: list: a crash between a delta's fsync and its iteration's commit
+    #: can make the resumed process re-apply (and re-journal) the same
+    #: delta, so consumers dedupe by content key (see
+    #: :func:`_dedupe_deltas`) rather than by position.
+    deltas: list[Record] = field(default_factory=list)
 
 
 def _session_spans(records: list[Record]) -> list[_Span]:
@@ -167,62 +172,96 @@ def _session_spans(records: list[Record]) -> list[_Span]:
             spans[-1].resumes.append(record)
         elif record.kind == KIND_RUN_FINISHED:
             spans[-1].finished = record
-        elif record.kind == KIND_RULESET:
-            spans[-1].rulesets.append(record)
-        elif record.kind == KIND_SCHEMA:
-            spans[-1].schemas.append(record)
+        elif record.kind in _DELTA_KINDS:
+            spans[-1].deltas.append(record)
     return spans
 
 
-def _delta_key(data: dict[str, Any]) -> tuple[int, str, str]:
-    """Content identity of one journaled ruleset delta.
+# ---------------------------------------------------------------------- #
+# Boundary deltas: content identity and fast-forward re-application.
+# ---------------------------------------------------------------------- #
+def _apply_journaled_ruleset(state, record: Record) -> None:
+    """Install one journaled ruleset delta without re-running aggregation.
 
-    A crashed-then-resumed run re-journals the delta it re-applies at the
-    resume boundary; the (iteration, kind, rules-added) triple identifies
-    it regardless of how many times it was written.
+    Deltas are self-contained (they carry the complete resulting rule
+    set), so fast-forward swaps the rule set in and invalidates the
+    derived caches; the per-iteration ``best_loss`` bookkeeping stays
+    authoritative for committed iterations, and the tail recompute in
+    :func:`fast_forward` covers deltas at the resume boundary.  Rules are
+    marked applied on the session's feedback pipeline so re-polled
+    sources (scripted schedules re-deliver on resume) dedupe instead of
+    double-applying.
     """
-    return (
-        int(data["iteration"]),
-        str(data["kind"]),
-        json.dumps(data["rules_added"], sort_keys=True, separators=(",", ":")),
+    from repro.feedback.delta import delta_from_jsonable
+
+    delta = delta_from_jsonable(record.data)
+    state.frs = delta.ruleset
+    state.assign_cache = None
+    state.evaluation_cache = None
+    state.population_stale = True
+    state.ruleset_log.append(delta)
+    if state.feedback is not None:
+        for rule in delta.rules_added:
+            state.feedback.mark_applied(rule)
+
+
+def _apply_journaled_schema(state, record: Record) -> None:
+    """Re-apply one journaled schema migration during fast-forward.
+
+    Unlike ruleset deltas, a schema delta cannot be installed as pure
+    bookkeeping: the active table's columns, the rule set's attribute
+    names, and the fitted encoder all change shape, and every later
+    journaled batch is keyed by the *migrated* schema's column names.  So
+    fast-forward re-runs :func:`~repro.engine.migration.apply_schema_delta`
+    — the same deterministic function the live boundary ran — and then
+    checks the resulting content-hashed version token against the
+    journaled one, which pins the whole schema lineage bit-for-bit.
+    """
+    from repro.engine.migration import apply_schema_delta, migration_from_jsonable
+
+    migration = migration_from_jsonable(record.data)
+    applied = apply_schema_delta(
+        state, migration.delta, provenance=migration.provenance, emit=False
     )
+    if applied.version != migration.version:
+        raise JournalResumeError(
+            f"replaying the schema delta at iteration {migration.iteration} "
+            f"produced version {applied.version!r}; journal recorded "
+            f"{migration.version!r} (schema lineage diverged)"
+        )
+    if state.feedback is not None:
+        state.feedback.mark_migrated(migration.delta)
+
+
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: Journal kind of each boundary delta → (content key, fast-forward
+#: apply).  The key identifies one applied delta however many times a
+#: crash-then-resume made it be written: (iteration, kind, rules added)
+#: for a ruleset delta, (iteration, canonical delta) for a migration.
+_DELTA_KINDS = {
+    KIND_RULESET: (
+        lambda d: (int(d["iteration"]), str(d["kind"]), _canonical(d["rules_added"])),
+        _apply_journaled_ruleset,
+    ),
+    KIND_SCHEMA: (
+        lambda d: (int(d["iteration"]), _canonical(d["delta"])),
+        _apply_journaled_schema,
+    ),
+}
 
 
 def _dedupe_deltas(records: list[Record]) -> list[Record]:
-    seen: set[tuple[int, str, str]] = set()
+    """Boundary-delta records in write order, each applied delta once."""
+    seen: set[tuple] = set()
     out: list[Record] = []
     for record in records:
-        key = _delta_key(record.data)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(record)
-    return out
-
-
-def _schema_key(data: dict[str, Any]) -> tuple[int, str]:
-    """Content identity of one journaled schema delta.
-
-    Same contract as :func:`_delta_key`: a crashed-then-resumed run
-    re-applies (and re-journals) the migration at the resume boundary,
-    so the (iteration, canonical delta) pair identifies it regardless of
-    how many times it was written.
-    """
-    return (
-        int(data["iteration"]),
-        json.dumps(data["delta"], sort_keys=True, separators=(",", ":")),
-    )
-
-
-def _dedupe_schemas(records: list[Record]) -> list[Record]:
-    seen: set[tuple[int, str]] = set()
-    out: list[Record] = []
-    for record in records:
-        key = _schema_key(record.data)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(record)
+        key = (record.kind, _DELTA_KINDS[record.kind][0](record.data))
+        if key not in seen:
+            seen.add(key)
+            out.append(record)
     return out
 
 
@@ -297,6 +336,12 @@ class SessionReplay:
         span = self.span
         return _committed(span) if span else []
 
+    def _deltas(self, kind: str) -> list[Record]:
+        span = self.span
+        if span is None:
+            return []
+        return [r for r in _dedupe_deltas(span.deltas) if r.kind == kind]
+
     def rule_timeline(self) -> list[dict[str, Any]]:
         """The run's rule-set evolution, from the journal alone.
 
@@ -308,11 +353,8 @@ class SessionReplay:
         same timeline as the live run (pinned by
         ``tests/serve/test_serve_feed.py``).
         """
-        span = self.span
-        if span is None:
-            return []
         rows = []
-        for record in _dedupe_deltas(span.rulesets):
+        for record in self._deltas(KIND_RULESET):
             data = record.data
             rows.append(
                 {
@@ -339,11 +381,8 @@ class SessionReplay:
         the content-hashed version lineage — so an audit can reconstruct
         ``SchemaVersion`` history without the dataset.
         """
-        span = self.span
-        if span is None:
-            return []
         rows = []
-        for record in _dedupe_schemas(span.schemas):
+        for record in self._deltas(KIND_SCHEMA):
             data = record.data
             rows.append(
                 {
@@ -445,85 +484,39 @@ def _validate_resume(state, meta: dict[str, Any]) -> None:
         )
 
 
-def _apply_journaled_ruleset(state, record: Record) -> None:
-    """Install one journaled ruleset delta without re-running aggregation.
-
-    Deltas are self-contained (they carry the complete resulting rule
-    set), so fast-forward swaps the rule set in and invalidates the
-    derived caches; the per-iteration ``best_loss`` bookkeeping stays
-    authoritative for committed iterations, and the tail recompute in
-    :func:`fast_forward` covers deltas at the resume boundary.  Rules are
-    marked applied on the session's feedback pipeline so re-polled
-    sources (scripted schedules re-deliver on resume) dedupe instead of
-    double-applying.
-    """
-    from repro.feedback.delta import delta_from_jsonable
-
-    delta = delta_from_jsonable(record.data)
-    state.frs = delta.ruleset
-    state.assign_cache = None
-    state.evaluation_cache = None
-    state.population_stale = True
-    state.ruleset_log.append(delta)
-    if state.feedback is not None:
-        for rule in delta.rules_added:
-            state.feedback.mark_applied(rule)
-
-
-def _apply_journaled_schema(state, record: Record) -> None:
-    """Re-apply one journaled schema migration during fast-forward.
-
-    Unlike ruleset deltas, a schema delta cannot be installed as pure
-    bookkeeping: the active table's columns, the rule set's attribute
-    names, and the fitted encoder all change shape, and every later
-    journaled batch is keyed by the *migrated* schema's column names.  So
-    fast-forward re-runs :func:`~repro.engine.migration.apply_schema_delta`
-    — the same deterministic function the live boundary ran — and then
-    checks the resulting content-hashed version token against the
-    journaled one, which pins the whole schema lineage bit-for-bit.
-    """
-    from repro.engine.migration import apply_schema_delta, migration_from_jsonable
-
-    migration = migration_from_jsonable(record.data)
-    applied = apply_schema_delta(
-        state, migration.delta, provenance=migration.provenance
-    )
-    if applied.version != migration.version:
-        raise JournalResumeError(
-            f"replaying the schema delta at iteration {migration.iteration} "
-            f"produced version {applied.version!r}; journal recorded "
-            f"{migration.version!r} (schema lineage diverged)"
-        )
-    if state.feedback is not None:
-        state.feedback.mark_migrated(migration.delta)
+def _apply_boundary(state, records: list[Record]) -> bool:
+    """Re-apply one boundary's journaled deltas in write order; returns
+    whether there were any."""
+    for record in records:
+        _DELTA_KINDS[record.kind][1](state, record)
+    return bool(records)
 
 
 def fast_forward(
     state,
     entries: list[ReplayIteration],
-    ruleset_records: list[Record] = (),  # type: ignore[assignment]
-    schema_records: list[Record] = (),  # type: ignore[assignment]
+    delta_records: list[Record] = (),  # type: ignore[assignment]
 ):
     """Re-apply committed iterations onto a freshly initialized state.
 
     Must be called right after ``engine.initialize(state)``: setup
     (modification, initial fit, budgets) is deterministically re-run by
     the engine, then each journaled iteration is replayed as pure
-    bookkeeping — no model fits, no generation — with accepted batches
-    re-appended from their journaled rows, journaled schema migrations
-    re-applied, and journaled ruleset deltas re-installed at the
-    iteration boundaries where they were applied (migrations before
-    rules, matching the live feedback stage's drain order).  Finishes by
-    refitting the model once and restoring the journaled RNG state.
+    bookkeeping — no candidate fits, no generation, no listener events.  The
+    journaled rule and schema deltas are grouped by iteration boundary
+    and re-applied in write order, which is the order the live run
+    applied them (the feedback pipeline's drain decides it, and the
+    journal records it); accepted batches are re-committed from their
+    journaled rows through :func:`~repro.engine.stages.commit_batch`,
+    the acceptance stage's own commit.  Finishes by refitting the model
+    once and restoring the journaled RNG state.
     """
     from repro.data.table import Table
+    from repro.engine.stages import commit_batch, stage_batch
 
     by_iter: dict[int, list[Record]] = {}
-    for record in _dedupe_deltas(list(ruleset_records)):
+    for record in _dedupe_deltas(list(delta_records)):
         by_iter.setdefault(int(record.data["iteration"]), []).append(record)
-    schema_by_iter: dict[int, list[Record]] = {}
-    for record in _dedupe_schemas(list(schema_records)):
-        schema_by_iter.setdefault(int(record.data["iteration"]), []).append(record)
 
     any_accepted = False
     any_delta = False
@@ -534,18 +527,11 @@ def fast_forward(
                 f"live iteration {state.iteration}"
             )
         # Deltas journaled at iteration k were applied by the feedback
-        # stage *before* k's loop body ran — schema migrations first
-        # (live drain order), so a same-boundary rule that references a
-        # just-landed column installs against the migrated schema, and
-        # the batch re-appended below matches the active column layout.
-        # The entry's best_loss already reflects them, so the bookkeeping
-        # below overwrites whatever the re-applies compute.
-        for record in schema_by_iter.pop(entry.iteration, []):
-            _apply_journaled_schema(state, record)
-            any_delta = True
-        for record in by_iter.pop(entry.iteration, []):
-            _apply_journaled_ruleset(state, record)
-            any_delta = True
+        # stage *before* k's loop body ran, so the batch re-committed
+        # below matches the column layout they left.  The entry's
+        # best_loss already reflects them, so the bookkeeping below
+        # overwrites whatever the re-applies compute.
+        any_delta |= _apply_boundary(state, by_iter.pop(entry.iteration, []))
         if entry.accepted:
             if entry.batch is None or entry.per_rule_counts is None:
                 raise JournalResumeError(
@@ -558,19 +544,14 @@ def fast_forward(
                 {name: entry.batch["columns"][name] for name in schema.names},
             )
             labels = np.asarray(entry.batch["labels"], dtype=np.int64)
-            builder = state.active_builder
-            if builder is None or builder.n_rows != state.active.n:
-                state.active_builder = builder = state.make_builder(state.active)
-                state.active = builder.snapshot()
-            candidate = builder.stage(table, labels)
-            builder.commit(candidate.n)
-            state.active = candidate
-            state.n_added += entry.n_generated
-            state.provenance = state.provenance.extend_synthetic(
-                [int(c) for c in entry.per_rule_counts], entry.iteration
+            candidate, staged = stage_batch(state, table, labels)
+            commit_batch(
+                state,
+                candidate,
+                staged,
+                [int(c) for c in entry.per_rule_counts],
+                "journal-resume",
             )
-            state.population_stale = True
-            state.record_append(entry.n_generated, "journal-resume")
             any_accepted = True
             if state.active.n != entry.n_active:
                 raise JournalResumeError(
@@ -585,22 +566,17 @@ def fast_forward(
     # iteration then crashed before committing.  The continuation's
     # feedback stage would re-deliver them anyway (sources re-poll);
     # installing them here keeps the journal authoritative and makes the
-    # re-delivery a dedup no-op.  Schema migrations apply before rules at
-    # each boundary, mirroring the committed loop above.
+    # re-delivery a dedup no-op.
     tail_deltas = False
-    for iteration in sorted(set(by_iter) | set(schema_by_iter)):
+    for iteration in sorted(by_iter):
         if iteration > state.iteration:
             raise JournalResumeError(
                 f"journaled delta at iteration {iteration} is "
                 f"beyond the committed prefix (resume point "
                 f"{state.iteration})"
             )
-        for record in schema_by_iter.get(iteration, []):
-            _apply_journaled_schema(state, record)
-            any_delta = tail_deltas = True
-        for record in by_iter.get(iteration, []):
-            _apply_journaled_ruleset(state, record)
-            any_delta = tail_deltas = True
+        tail_deltas |= _apply_boundary(state, by_iter[iteration])
+    any_delta |= tail_deltas
     if any_accepted:
         state.model = state.algorithm(state.active)
     if any_accepted or any_delta:
@@ -647,8 +623,7 @@ def run_journaled(session):
     meta = {"name": name}
 
     entries: list[ReplayIteration] = []
-    ruleset_records: list[Record] = []
-    schema_records: list[Record] = []
+    delta_records: list[Record] = []
     if config.journal_resume and JournalReader(path).exists:
         scan = JournalReader(path).scan()
         if scan.truncation is not None and not scan.truncation.repairable:
@@ -661,12 +636,11 @@ def run_journaled(session):
         if spans:
             _validate_resume(state, dict(spans[-1].meta.data))
             entries = _committed(spans[-1])
-            ruleset_records = spans[-1].rulesets
-            schema_records = spans[-1].schemas
+            delta_records = spans[-1].deltas
 
     if entries:
         engine.initialize(state)
-        fast_forward(state, entries, ruleset_records, schema_records)
+        fast_forward(state, entries, delta_records)
         journal = SessionJournal(path, meta=meta).attach(state)
         journal.record_resumed(state, fast_forwarded=len(entries))
         try:

@@ -262,6 +262,31 @@ def rng_snapshot(rng: np.random.Generator) -> dict[str, Any]:
     }
 
 
+def _ruleset_payload(state, event) -> dict[str, Any]:
+    """The full resulting rule set (self-contained: replay rebuilds the
+    rule timeline without re-running aggregation)."""
+    from repro.feedback.delta import delta_to_jsonable
+
+    data = delta_to_jsonable(event.ruleset)
+    data["n_rules"] = len(tuple(state.frs))
+    return data
+
+
+def _schema_payload(state, event) -> dict[str, Any]:
+    """The migration plus its lineage tokens (replay re-derives and
+    checks them)."""
+    from repro.engine.migration import migration_to_jsonable
+
+    return migration_to_jsonable(event.schema)
+
+
+#: Boundary-delta event kind → (journal record kind, payload builder).
+_DELTA_RECORDS = {
+    "ruleset": (KIND_RULESET, _ruleset_payload),
+    "schema": (KIND_SCHEMA, _schema_payload),
+}
+
+
 class SessionJournal:
     """Durable observer of one edit session.
 
@@ -276,6 +301,9 @@ class SessionJournal:
         plus stage timings, the post-iteration RNG state, and — for
         accepted iterations — the generated batch's rows, labels, and
         per-rule counts.  Fsynced: this is the crash-resume boundary.
+    ``ruleset-delta`` / ``schema-delta`` (at ``ruleset`` / ``schema``)
+        One applied boundary delta, fsynced before its boundary's
+        ``iteration`` record; resume replays them in this write order.
     ``run-finished`` (at ``finished``)
         Closing totals.
 
@@ -326,24 +354,12 @@ class SessionJournal:
             return
         if event.kind == "started":
             self.writer.append(KIND_RUN_META, self._run_meta(state), sync=True)
-        elif event.kind == "ruleset":
-            # A feedback delta just landed: journal the full resulting
-            # rule set (self-contained — replay reconstructs the rule
-            # timeline without re-running aggregation), fsynced like
-            # iteration records so crash-resume sees every applied rule.
-            self.writer.append(
-                KIND_RULESET, self._ruleset_data(state, event), sync=True
-            )
-        elif event.kind == "schema":
-            # A schema migration just landed: journal the delta plus its
-            # lineage tokens, fsynced — crash-resume must fast-forward
-            # through migrations before it can re-append later batches
-            # (their journaled columns are keyed by the migrated schema).
-            from repro.engine.migration import migration_to_jsonable
-
-            self.writer.append(
-                KIND_SCHEMA, migration_to_jsonable(event.schema), sync=True
-            )
+        elif event.kind in _DELTA_RECORDS:
+            # A boundary delta just landed: journal it as it is applied,
+            # before its boundary's iteration record, and fsynced like
+            # one — crash-resume replays deltas in this write order.
+            kind, payload = _DELTA_RECORDS[event.kind]
+            self.writer.append(kind, payload(state, event), sync=True)
         elif event.record is not None:
             self.writer.append(
                 KIND_ITERATION, self._iteration_data(state, event), sync=True
@@ -381,13 +397,6 @@ class SessionJournal:
             "warm_start": state.warm_start,
             "n_rules": len(tuple(state.frs)),
         }
-
-    def _ruleset_data(self, state, event) -> dict[str, Any]:
-        from repro.feedback.delta import delta_to_jsonable
-
-        data = delta_to_jsonable(event.ruleset)
-        data["n_rules"] = len(tuple(state.frs))
-        return data
 
     def _iteration_data(self, state, event) -> dict[str, Any]:
         record = event.record

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.data import Dataset, Table, make_schema
 from repro.data.evolution import (
     Migration,
     SchemaDelta,
@@ -18,6 +19,7 @@ from repro.engine.migration import (
     migration_to_jsonable,
 )
 from repro.feedback import ScriptedFeedbackSource
+from repro.rules import FeedbackRule, Predicate, clause
 
 
 def base_session(dataset, frs, **cfg):
@@ -27,6 +29,20 @@ def base_session(dataset, frs, **cfg):
         .with_algorithm("LR")
         .configure(**{"tau": 4, "q": 0.5, "random_state": 0, **cfg})
     )
+
+
+def numeric_dataset():
+    rng = np.random.default_rng(23)
+    n = 400
+    schema = make_schema(numeric=["x1", "x2"])
+    X = Table(schema, {"x1": rng.normal(0, 1, n), "x2": rng.normal(0, 1, n)})
+    y = (X.column("x1") - 0.3 * X.column("x2") > 0).astype(np.int64)
+    return Dataset(X, y, ("neg", "pos"))
+
+
+NUMERIC_RULE = FeedbackRule.deterministic(
+    clause(Predicate("x1", "<", -0.5)), 1, 2, name="r"
+)
 
 
 @pytest.fixture
@@ -182,20 +198,32 @@ class TestScheduledMigrations:
         self, mixed_dataset, single_rule_frs
     ):
         """A schedule-bearing session whose boundary is never reached is
-        bit-identical to a plain run (the no-delta default path)."""
-        plain = base_session(mixed_dataset, single_rule_frs, tau=2).run()
-        armed = (
-            base_session(mixed_dataset, single_rule_frs, tau=2)
-            .with_schema_migration(50, SchemaDelta.add_column("never"))
-            .run()
-        )
-        assert armed.history == plain.history
-        assert armed.schema_log == []
-        np.testing.assert_array_equal(armed.dataset.y, plain.dataset.y)
-        for name in plain.dataset.X.schema.names:
-            np.testing.assert_array_equal(
-                armed.dataset.X.column(name), plain.dataset.X.column(name)
-            )
+        bit-identical to a plain run (the no-delta default path) — on the
+        mixed fixture, and on an all-numeric dataset without modification."""
+        inputs = [
+            (
+                lambda: base_session(mixed_dataset, single_rule_frs, tau=2),
+                SchemaDelta.add_column("never"),
+            ),
+            (
+                lambda: base_session(
+                    numeric_dataset(), NUMERIC_RULE, tau=4, eta=8,
+                    random_state=7, mod_strategy="none",
+                ),
+                SchemaDelta.add_column("never", fill=0.0),
+            ),
+        ]
+        for session, delta in inputs:
+            plain = session().run()
+            armed = session().with_schema_migration(50, delta).run()
+            assert plain.schema_log == []
+            assert armed.history == plain.history
+            assert armed.schema_log == []
+            np.testing.assert_array_equal(armed.dataset.y, plain.dataset.y)
+            for name in plain.dataset.X.schema.names:
+                np.testing.assert_array_equal(
+                    armed.dataset.X.column(name), plain.dataset.X.column(name)
+                )
 
 
 class TestParkingAndDeferral:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.data import Dataset, Table, make_schema
 from repro.feedback import (
     QueueFeedbackSource,
     RuleProposal,
@@ -24,6 +25,7 @@ from repro.feedback import (
     ScriptedFeedbackSource,
 )
 from repro.journal import SessionReplay
+from repro.journal.cli import main as journal_cli
 from repro.rules import FeedbackRule, Predicate, clause
 
 from conftest import make_tiny_dataset
@@ -175,6 +177,44 @@ class TestJournaledFeedback:
         assert replay.summary()["resumes"] == 1
         # The timeline is content-deduped across the resume boundary.
         assert len(replay.rule_timeline()) == 1
+
+    def test_streamed_journal_equals_scheduled_and_passes_strict_status(
+        self, tmp_path
+    ):
+        """Streamed == scheduled on a larger all-numeric dataset, with the
+        streamed run journaled: its rule timeline comes back from the
+        journal alone and ``status --strict`` validates the journal."""
+        rng = np.random.default_rng(17)
+        n = 400
+        schema = make_schema(numeric=["x1", "x2"])
+        X = Table(schema, {"x1": rng.normal(0, 1, n), "x2": rng.normal(0, 1, n)})
+        y = (X.column("x1") + 0.5 * X.column("x2") > 0).astype(np.int64)
+        data = Dataset(X, y, ("neg", "pos"))
+
+        def build():
+            return (
+                repro.edit(data)
+                .with_rules(BASE)
+                .with_algorithm("LR")
+                .configure(tau=6, q=0.5, eta=8, random_state=7, mod_strategy="none")
+            )
+
+        journals = tmp_path / "journals"
+        streamed = (
+            build()
+            .with_feedback(
+                ScriptedFeedbackSource({3: RuleProposal(LATE, source="expert")})
+            )
+            .journaled(str(journals), name="streamed")
+            .run()
+        )
+        scheduled = build().with_scheduled_rules(3, LATE).run()
+        assert_runs_identical(streamed, scheduled)
+
+        timeline = SessionReplay.load(journals / "streamed").rule_timeline()
+        assert [row["rules"] for row in timeline] == [["late"]]
+        assert timeline[0]["iteration"] == 3
+        assert journal_cli(["--strict", "status", str(journals)]) == 0
 
     def test_resumed_run_does_not_reapply_rules(self, tmp_path):
         self.make_journaled(tmp_path).run()

@@ -11,7 +11,11 @@ The schema-evolution acceptance criteria, pinned at test scale:
   .schema_timeline()``) and replay validates the re-derived version
   tokens against the journaled ones;
 * runs with no schema deltas journal no schema records — the frozen
-  default path is untouched.
+  default path is untouched;
+* a crash at *any* model fit resumes bit-identically, including one that
+  leaves a migration and a rule at the same boundary in the journal's
+  uncommitted tail (replayed in write order), and replayed deltas are
+  silent to listeners like replayed iterations.
 """
 
 import numpy as np
@@ -41,6 +45,41 @@ def migrating_session(jdir, name, algorithm=None):
     if algorithm is not None:
         session = session.with_algorithm(algorithm)
     return session
+
+
+def same_boundary_session(jdir, name, algorithm=None):
+    """A migration plus a rule needing its column at iteration 2, a
+    rename at 4, and a plain rule at 5."""
+    session = (
+        make_session(tau=8, accept_equal=True)
+        .with_schema_migration(2, DELTA2)
+        .with_scheduled_rules(2, "tenure > 2 AND age < 30 => approve")
+        .with_schema_migration(4, DELTA4)
+        .with_scheduled_rules(5, "age > 70 => deny")
+        .journaled(jdir, name=name)
+    )
+    if algorithm is not None:
+        session = session.with_algorithm(algorithm)
+    return session
+
+
+#: Model fits in one uninterrupted ``same_boundary_session`` run: setup,
+#: one candidate per iteration, and the refit after ``add_column``.
+SAME_BOUNDARY_FITS = 10
+
+
+@pytest.fixture(scope="module")
+def same_boundary_full(tmp_path_factory):
+    base = paper_algorithm("LR")
+    fits = {"n": 0}
+
+    def counting(dataset):
+        fits["n"] += 1
+        return base(dataset)
+
+    jdir = tmp_path_factory.mktemp("full")
+    result = same_boundary_session(jdir, "full", counting).run()
+    return result, fits["n"]
 
 
 class Crash(RuntimeError):
@@ -117,6 +156,25 @@ class TestSchemaCrashResume:
         replay = SessionReplay.load(tmp_path / "s")
         assert replay.summary()["runs"] == 1
         assert replay.summary()["resumes"] == 1
+
+    @pytest.mark.parametrize("at_fit", range(2, SAME_BOUNDARY_FITS + 1))
+    def test_crash_at_every_fit_resumes_bit_identical(
+        self, tmp_path, same_boundary_full, at_fit
+    ):
+        full, fits = same_boundary_full
+        assert fits == SAME_BOUNDARY_FITS  # every fit is a crash point
+        with pytest.raises(Crash):
+            same_boundary_session(tmp_path, "crash", bomb_algorithm(at_fit)).run()
+        resumed = same_boundary_session(tmp_path, "crash").run()
+        assert_runs_identical(resumed, full)
+
+    def test_fast_forward_replays_no_delta_events(self, tmp_path):
+        migrating_session(tmp_path, "s").run()
+        kinds = []
+        migrating_session(tmp_path, "s").on_event(
+            lambda event: kinds.append(event.kind)
+        ).run()
+        assert kinds == ["started", "finished"]
 
     def test_schema_timeline_carries_lineage(self, tmp_path):
         result = migrating_session(tmp_path, "s").run()
