@@ -13,6 +13,7 @@ Implements the core LightGBM recipe the paper's third model relies on:
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +53,6 @@ class _Binner:
 
 
 @dataclass
-class _Leaf:
-    idx: np.ndarray
-    value: float = 0.0
-    # Split bookkeeping (filled by _find_best_split):
-    gain: float = -np.inf
-    feature: int = -1
-    bin_threshold: int = -1
-
-
-@dataclass
 class _SplitNode:
     feature: int
     bin_threshold: int
@@ -92,6 +83,63 @@ class _HistTree:
         return out
 
 
+def _split_search(
+    B: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    n_bins: np.ndarray,
+    *,
+    min_child_samples: int,
+    reg_lambda: float,
+) -> Callable[[np.ndarray], tuple[float, int, int]]:
+    """Set up one tree's split search; return ``best_split(idx)``.
+
+    ``best_split`` scores every (feature, bin) threshold of the node
+    holding rows ``idx`` in one batched pass: one ``bincount`` each for g,
+    h and count over global bin ids ``f * width + b`` fills a
+    ``(n_features, width)`` histogram grid, zero-padded past each
+    feature's last bin, whose row-wise prefix sums restart at every
+    feature.  It returns ``(gain, feature, bin_threshold)``, or
+    ``(-inf, -1, -1)`` when no threshold is valid.  The flat row-major
+    argmax picks the first feature reaching the maximum gain and the first
+    bin within it, the tie-break of a per-feature loop that keeps the
+    first strictly greater gain; every histogram cell sums its rows in
+    ``idx`` order, so gains match that loop bit for bit.
+    """
+    n_features = B.shape[1]
+    width = int(n_bins.max(initial=0))
+    if width < 2:
+        return lambda idx: (-np.inf, -1, -1)
+    size = n_features * width
+    B_global = B + np.arange(n_features, dtype=np.intp) * width
+    # Threshold b sends bins <= b left; it exists for b < n_bins(f) - 1.
+    real = np.arange(width - 1) < (n_bins[:, None] - 1)
+    lam = reg_lambda
+
+    def prefix(hist: np.ndarray) -> np.ndarray:
+        return np.cumsum(hist.reshape(n_features, width), axis=1)[:, :-1]
+
+    def best_split(idx: np.ndarray) -> tuple[float, int, int]:
+        g_idx, h_idx = g[idx], h[idx]
+        G, H = g_idx.sum(), h_idx.sum()
+        parent = G * G / (H + lam)
+        bins = B_global[idx].ravel()
+        GL = prefix(np.bincount(bins, np.repeat(g_idx, n_features), size))
+        HL = prefix(np.bincount(bins, np.repeat(h_idx, n_features), size))
+        NL = prefix(np.bincount(bins, minlength=size))
+        GR, HR, NR = G - GL, H - HL, idx.size - NL
+        valid = real & (NL >= min_child_samples) & (NR >= min_child_samples)
+        gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
+        gain[~valid] = -np.inf
+        k = int(np.argmax(gain))
+        if not valid.flat[k]:
+            return (-np.inf, -1, -1)
+        f, b = divmod(k, width - 1)
+        return (float(gain.flat[k]), f, b)
+
+    return best_split
+
+
 class _HistTreeBuilder:
     """Leaf-wise tree growth on (gradient, hessian) targets."""
 
@@ -118,32 +166,11 @@ class _HistTreeBuilder:
         def leaf_value(idx: np.ndarray) -> float:
             return float(-g[idx].sum() / (h[idx].sum() + lam))
 
-        def best_split(idx: np.ndarray) -> tuple[float, int, int]:
-            """Return (gain, feature, bin_threshold) for the node at ``idx``."""
-            G, H = g[idx].sum(), h[idx].sum()
-            parent = G * G / (H + lam)
-            best = (-np.inf, -1, -1)
-            for f in range(B.shape[1]):
-                nb = self.binner.n_bins(f)
-                if nb < 2:
-                    continue
-                bins_f = B[idx, f]
-                hist_g = np.bincount(bins_f, weights=g[idx], minlength=nb)
-                hist_h = np.bincount(bins_f, weights=h[idx], minlength=nb)
-                hist_n = np.bincount(bins_f, minlength=nb)
-                GL = np.cumsum(hist_g)[:-1]
-                HL = np.cumsum(hist_h)[:-1]
-                NL = np.cumsum(hist_n)[:-1]
-                GR, HR, NR = G - GL, H - HL, idx.size - NL
-                valid = (NL >= self.min_child_samples) & (NR >= self.min_child_samples)
-                if not np.any(valid):
-                    continue
-                gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
-                gain[~valid] = -np.inf
-                b = int(np.argmax(gain))
-                if gain[b] > best[0]:
-                    best = (float(gain[b]), f, b)
-            return best
+        n_bins = np.array([self.binner.n_bins(f) for f in range(B.shape[1])])
+        best_split = _split_search(
+            B, g, h, n_bins,
+            min_child_samples=self.min_child_samples, reg_lambda=lam,
+        )
 
         tree = _HistTree()
         root_idx = np.arange(B.shape[0], dtype=np.intp)
@@ -152,7 +179,7 @@ class _HistTreeBuilder:
             return tree
 
         # Leaf-wise growth: a heap of candidate splits keyed by -gain.
-        heap: list[tuple[float, int, int, int, int, np.ndarray]] = []
+        heap: list[tuple[float, int, int, int, int, np.ndarray, int]] = []
         counter = 0  # tiebreaker so ndarray never gets compared
 
         def push(node_id: int, idx: np.ndarray, depth: int) -> None:

@@ -1,7 +1,8 @@
 """The seed repository's row-at-a-time hot-path implementations, preserved.
 
-When the edit-loop hot paths were vectorized, the original per-row Python
-loops were moved here verbatim (modulo being standalone functions) so that
+When the edit-loop hot paths were vectorized, the original per-row (and,
+for the tree split searches, per-feature) Python loops were moved here
+verbatim (modulo being standalone functions) so that
 
 * ``tests/perf/test_seed_parity.py`` can pin, under a fixed RNG, that the
   vectorized implementations reproduce the seed outputs **bit-for-bit**
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.table import Table
+from repro.models.tree import _impurity_from_counts
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
 from repro.rules.predicate import Predicate
@@ -148,3 +150,102 @@ def seed_borderline_weights(
 ) -> np.ndarray:
     """Seed borderline weight mapping: per-row dict lookup."""
     return np.array([weights[c] for c in cats], dtype=np.float64)
+
+
+def seed_hist_best_split(
+    B: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    idx: np.ndarray,
+    n_bins: np.ndarray,
+    *,
+    min_child_samples: int,
+    reg_lambda: float,
+) -> tuple[float, int, int]:
+    """Seed GBDT split search: one histogram pass per feature.
+
+    Returns ``(gain, feature, bin_threshold)`` for the node holding rows
+    ``idx``; ``(-inf, -1, -1)`` when no split is valid.
+    """
+    lam = reg_lambda
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + lam)
+    best = (-np.inf, -1, -1)
+    for f in range(B.shape[1]):
+        nb = int(n_bins[f])
+        if nb < 2:
+            continue
+        bins_f = B[idx, f]
+        hist_g = np.bincount(bins_f, weights=g[idx], minlength=nb)
+        hist_h = np.bincount(bins_f, weights=h[idx], minlength=nb)
+        hist_n = np.bincount(bins_f, minlength=nb)
+        GL = np.cumsum(hist_g)[:-1]
+        HL = np.cumsum(hist_h)[:-1]
+        NL = np.cumsum(hist_n)[:-1]
+        GR, HR, NR = G - GL, H - HL, idx.size - NL
+        valid = (NL >= min_child_samples) & (NR >= min_child_samples)
+        if not np.any(valid):
+            continue
+        gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
+        gain[~valid] = -np.inf
+        b = int(np.argmax(gain))
+        if gain[b] > best[0]:
+            best = (float(gain[b]), f, b)
+    return best
+
+
+def seed_cart_best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    features: np.ndarray,
+    n_classes: int,
+    *,
+    criterion: str,
+    min_samples_leaf: int,
+) -> tuple[int, float]:
+    """Seed CART split search: one sort and prefix-count pass per feature.
+
+    Returns ``(feature, threshold)`` over the sampled ``features`` of the
+    node holding rows ``idx``; ``(-1, 0.0)`` when no split gains.
+    """
+    n = idx.size
+    y_node = y[idx]
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y_node] = 1.0
+
+    best_gain = 1e-12
+    best_feat, best_thr = -1, 0.0
+    parent_imp = _impurity_from_counts(onehot.sum(axis=0)[None, :], criterion)[0]
+
+    for f in features:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        counts_sorted = onehot[order]
+        left_counts = np.cumsum(counts_sorted, axis=0)[:-1]  # split after i
+        total = left_counts[-1] + counts_sorted[-1]
+        right_counts = total[None, :] - left_counts
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (
+            (xs[:-1] < xs[1:])
+            & (n_left >= min_samples_leaf)
+            & (n_right >= min_samples_leaf)
+        )
+        if not np.any(valid):
+            continue
+        imp_left = _impurity_from_counts(left_counts, criterion)
+        imp_right = _impurity_from_counts(right_counts, criterion)
+        weighted = (n_left * imp_left + n_right * imp_right) / n
+        gain = parent_imp - weighted
+        gain[~valid] = -np.inf
+        best_pos = int(np.argmax(gain))
+        if gain[best_pos] > best_gain:
+            best_gain = float(gain[best_pos])
+            best_feat = int(f)
+            # Midpoint threshold, matching CART convention.
+            best_thr = float((xs[best_pos] + xs[best_pos + 1]) / 2.0)
+    return best_feat, best_thr

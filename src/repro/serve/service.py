@@ -912,7 +912,7 @@ class EditService:
             return spec, float(own) if own is not None else 0.0
         required = float(own if own is not None else self.default_session_mb)
         if own is None:
-            spec.configure(max_resident_mb=required)
+            spec.out_of_core(required)
         return spec, required
 
     def _on_terminal(self, handle: SessionHandle) -> None:

@@ -2,14 +2,17 @@
 
 Every vectorized implementation was designed to consume the RNG stream in
 exactly the order its seed row-loop predecessor did, so under a fixed seed
-the outputs must match **bit-for-bit** — not approximately.  The seed
-implementations live in :mod:`repro.perf.seed_reference`.
+the outputs must match **bit-for-bit** — not approximately.  The batched
+tree split searches must likewise pick the same split, with the same gain,
+as the seed per-feature loops, ties included.  The seed implementations
+live in :mod:`repro.perf.seed_reference`.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import Table, make_schema
+from repro.models import RandomForestClassifier, boosting, tree
 from repro.neighbors.brute import _topk_from_dists
 from repro.perf import seed_reference as seed_ref
 from repro.rules import Predicate
@@ -166,3 +169,153 @@ class TestGeneratorIndexCache:
         out = gen.generate(smaller, positions[:3], np.random.default_rng(0), cache_token=2)
         assert gen._index_cache is not first
         assert out.n == 3
+
+
+def _tie_heavy(seed, n=240, n_classes=2):
+    """Integer columns full of ties, a duplicated column (so two features
+    tie on every gain), two constant columns, labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, 9)).astype(np.float64)
+    X[:, 5] = X[:, 0]
+    X[:, 2] = 7.0
+    X[:, 6] = -1.0
+    X[:, 8] = rng.normal(size=n)
+    y = (X[:, 0] + X[:, 3] + rng.integers(0, 3, size=n)) % n_classes
+    return X, y.astype(np.int64)
+
+
+def _node_subsets(n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        np.arange(n, dtype=np.intp),
+        np.sort(rng.choice(n, size=n // 3, replace=False)),
+        rng.choice(n, size=n // 2, replace=False),  # unsorted rows
+        np.arange(5, dtype=np.intp),
+    ]
+
+
+class TestHistSplitParity:
+    """GBDT split search: (gain, feature, bin) equals the per-feature loop."""
+
+    def _problem(self, seed, n_classes, max_bins=16):
+        X, y = _tie_heavy(seed, n_classes=n_classes)
+        binner = boosting._Binner(max_bins).fit(X)
+        B = binner.transform(X)
+        n_bins = np.array([binner.n_bins(f) for f in range(X.shape[1])])
+        # One class's Newton targets at a scattered prediction, so every
+        # histogram cell sums inexact floats and summation order shows.
+        p = np.random.default_rng(seed).uniform(0.05, 0.95, size=y.size)
+        g = p - (y == n_classes - 1)
+        h = np.maximum(p * (1 - p), 1e-12)
+        return B, g, h, n_bins
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("min_child_samples", [0, 1, 20, 200])
+    @pytest.mark.parametrize("reg_lambda", [1.0, 0.1])
+    def test_bit_for_bit(self, n_classes, min_child_samples, reg_lambda):
+        B, g, h, n_bins = self._problem(0, n_classes)
+        kw = dict(min_child_samples=min_child_samples, reg_lambda=reg_lambda)
+        best_split = boosting._split_search(B, g, h, n_bins, **kw)
+        for idx in _node_subsets(B.shape[0], 1):
+            assert best_split(idx) == seed_ref.seed_hist_best_split(
+                B, g, h, idx, n_bins, **kw
+            )
+
+    def test_no_valid_split(self):
+        B, g, h, n_bins = self._problem(2, 2)
+        kw = dict(min_child_samples=B.shape[0], reg_lambda=1.0)
+        idx = np.arange(B.shape[0], dtype=np.intp)
+        expected = (-np.inf, -1, -1)
+        assert seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw) == expected
+        assert boosting._split_search(B, g, h, n_bins, **kw)(idx) == expected
+
+    def test_single_bin_feature_is_skipped(self):
+        # Every threshold gains exactly 0, so only validity decides: the
+        # winner must be a real bin, not the padding of 1-bin feature 0.
+        B, _, h, n_bins = self._problem(2, 2)
+        B[:, 0] = 0
+        n_bins[0] = 1
+        g = np.zeros(B.shape[0])
+        kw = dict(min_child_samples=0, reg_lambda=1.0)
+        idx = np.arange(B.shape[0], dtype=np.intp)
+        expected = seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw)
+        assert expected == (0.0, 1, 0)
+        assert boosting._split_search(B, g, h, n_bins, **kw)(idx) == expected
+
+    def test_all_columns_constant(self):
+        B, g, h, _ = self._problem(3, 2)
+        B = np.zeros_like(B)
+        n_bins = np.ones(B.shape[1], dtype=np.int64)
+        kw = dict(min_child_samples=1, reg_lambda=1.0)
+        idx = np.arange(B.shape[0], dtype=np.intp)
+        assert boosting._split_search(B, g, h, n_bins, **kw)(idx) == (
+            seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw)
+        )
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_whole_fit_matches_seed_search(self, monkeypatch, n_classes):
+        X, y = _tie_heavy(4, n_classes=n_classes)
+
+        def fit():
+            model = boosting.GradientBoostingClassifier(n_estimators=8, max_bins=32)
+            return model.fit(X, y).predict_proba(X)
+
+        batched = fit()
+
+        def seed_search(B, g, h, n_bins, **kw):
+            return lambda idx: seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw)
+
+        monkeypatch.setattr(boosting, "_split_search", seed_search)
+        np.testing.assert_array_equal(batched, fit())
+
+
+class TestCartSplitParity:
+    """CART split search: (feature, threshold) equals the per-feature loop."""
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    @pytest.mark.parametrize("max_features", ["sqrt", None, 5])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 15])
+    def test_bit_for_bit(self, n_classes, criterion, max_features, min_samples_leaf):
+        X, y = _tie_heavy(5, n_classes=n_classes)
+        clf = tree.DecisionTreeClassifier(max_features=max_features)
+        n_split = clf._resolve_max_features(X.shape[1])
+        rng = np.random.default_rng(6)
+        kw = dict(criterion=criterion, min_samples_leaf=min_samples_leaf)
+        for idx in _node_subsets(X.shape[0], 7):
+            features = rng.choice(X.shape[1], size=n_split, replace=False)
+            args = (X, y, idx, features, n_classes)
+            assert tree._split_search(*args, **kw) == (
+                seed_ref.seed_cart_best_split(*args, **kw)
+            )
+
+    def test_no_valid_split(self):
+        X, y = _tie_heavy(8)
+        idx = np.arange(X.shape[0], dtype=np.intp)
+        features = np.arange(X.shape[1])
+        kw = dict(criterion="gini", min_samples_leaf=X.shape[0])
+        assert seed_ref.seed_cart_best_split(X, y, idx, features, 2, **kw) == (-1, 0.0)
+        assert tree._split_search(X, y, idx, features, 2, **kw) == (-1, 0.0)
+
+    def test_constant_columns_only(self):
+        X, y = _tie_heavy(9)
+        idx = np.arange(X.shape[0], dtype=np.intp)
+        features = np.array([6, 2])
+        kw = dict(criterion="entropy", min_samples_leaf=1)
+        assert tree._split_search(X, y, idx, features, 2, **kw) == (-1, 0.0)
+        assert seed_ref.seed_cart_best_split(X, y, idx, features, 2, **kw) == (-1, 0.0)
+
+    @pytest.mark.parametrize("max_features", ["sqrt", None, 3])
+    def test_whole_fit_matches_seed_search(self, monkeypatch, max_features):
+        X, y = _tie_heavy(10, n_classes=3)
+
+        def fit():
+            model = RandomForestClassifier(
+                n_estimators=6, max_depth=4, max_features=max_features,
+                criterion="entropy", random_state=11,
+            )
+            return model.fit(X, y).predict_proba(X)
+
+        batched = fit()
+        monkeypatch.setattr(tree, "_split_search", seed_ref.seed_cart_best_split)
+        np.testing.assert_array_equal(batched, fit())

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import warnings
 
 import pytest
 
+from repro.core.options import StorageOptions
 from repro.serve import (
     AdmissionError,
     EditService,
@@ -237,6 +239,27 @@ class TestAdmissionIntegration:
             handle2 = service.submit(plain)
             assert handle2.inspect().budget_mb == 8.0
             assert plain._config_kwargs == before  # caller's spec untouched
+            await service.close()
+
+        run(main())
+
+    def test_default_slice_trips_no_deprecation(self):
+        async def main():
+            service = EditService(memory_budget_mb=64.0, default_session_mb=8.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                plain = service.submit(make_spec(seed=7))
+                own = service.submit(
+                    make_spec(
+                        seed=8,
+                        storage=StorageOptions(max_resident_mb=40.0, shard_rows=64),
+                    )
+                )
+            assert plain.inspect().budget_mb == 8.0
+            assert plain._spec._config_kwargs["max_resident_mb"] == 8.0
+            assert own.inspect().budget_mb == 40.0
+            assert own._spec._config_kwargs["max_resident_mb"] == 40.0
+            assert own._spec._config_kwargs["shard_rows"] == 64
             await service.close()
 
         run(main())
