@@ -29,6 +29,7 @@ class _Binner:
             raise ValueError(f"max_bins must be in [2, 255], got {max_bins}")
         self.max_bins = max_bins
         self.edges_: list[np.ndarray] | None = None
+        self.n_bins_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "_Binner":
         edges = []
@@ -37,6 +38,7 @@ class _Binner:
             qs = np.quantile(col, np.linspace(0, 1, self.max_bins + 1)[1:-1])
             edges.append(np.unique(qs))
         self.edges_ = edges
+        self.n_bins_ = np.array([len(e) + 1 for e in edges])
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -48,8 +50,8 @@ class _Binner:
         return out
 
     def n_bins(self, f: int) -> int:
-        assert self.edges_ is not None
-        return len(self.edges_[f]) + 1
+        assert self.n_bins_ is not None
+        return int(self.n_bins_[f])
 
 
 @dataclass
@@ -94,48 +96,80 @@ def _split_search(
 ) -> Callable[[np.ndarray], tuple[float, int, int]]:
     """Set up one tree's split search; return ``best_split(idx)``.
 
-    ``best_split`` scores every (feature, bin) threshold of the node
-    holding rows ``idx`` in one batched pass: one ``bincount`` each for g,
-    h and count over global bin ids ``f * width + b`` fills a
-    ``(n_features, width)`` histogram grid, zero-padded past each
-    feature's last bin, whose row-wise prefix sums restart at every
-    feature.  It returns ``(gain, feature, bin_threshold)``, or
-    ``(-inf, -1, -1)`` when no threshold is valid.  The flat row-major
-    argmax picks the first feature reaching the maximum gain and the first
-    bin within it, the tie-break of a per-feature loop that keeps the
-    first strictly greater gain; every histogram cell sums its rows in
-    ``idx`` order, so gains match that loop bit for bit.
-    """
-    n_features = B.shape[1]
-    width = int(n_bins.max(initial=0))
-    if width < 2:
-        return lambda idx: (-np.inf, -1, -1)
-    size = n_features * width
-    B_global = B + np.arange(n_features, dtype=np.intp) * width
-    # Threshold b sends bins <= b left; it exists for b < n_bins(f) - 1.
-    real = np.arange(width - 1) < (n_bins[:, None] - 1)
-    lam = reg_lambda
+    Features with at least two bins are grouped into **width classes**:
+    a feature with ``n_bins`` bins gets ``W`` = the next power of two
+    ``>= n_bins`` columns, so no feature is padded to more than twice its
+    bin count (at most 8 classes for ``max_bins <= 255``).  The classes
+    are laid out one after another in one compact id space, each as a
+    ``(k, W)`` grid of its ``k`` features in ascending index order;
+    1-bin features have no threshold and are left out.
 
-    def prefix(hist: np.ndarray) -> np.ndarray:
-        return np.cumsum(hist.reshape(n_features, width), axis=1)[:, :-1]
+    ``best_split`` scores every (feature, bin) threshold of the node
+    holding rows ``idx``: one ``bincount`` each for g, h and count over
+    the compact ids, an in-place row-wise prefix sum of each class's grid
+    (restarting at every feature), the gain over the whole space with
+    invalid cells set to −inf, and one flat argmax per class.  Class
+    winners merge on larger gain, and on an exact tie the
+    lower feature index wins; within a class the flat argmax already
+    picks the lowest feature, then the lowest bin.  That is the
+    tie-break of a per-feature loop that keeps the first strictly
+    greater gain, and since every cell sums its rows in ``idx`` order,
+    gains match that loop bit for bit.  Returns ``(gain, feature,
+    bin_threshold)``, or ``(-inf, -1, -1)`` when no threshold is valid.
+    """
+    features = np.flatnonzero(n_bins >= 2)
+    if features.size == 0:
+        return lambda idx: (-np.inf, -1, -1)
+    widths = np.array([1 << (int(nb) - 1).bit_length() for nb in n_bins[features]])
+    classes = []  # (start, stop, width, features) spans of the id space
+    offsets = np.empty(features.size, dtype=np.intp)
+    real_rows = []
+    start = 0
+    for width in np.unique(widths):
+        cols = np.flatnonzero(widths == width)  # positions in `features`
+        members = features[cols]
+        stop = start + cols.size * width
+        offsets[cols] = start + np.arange(cols.size) * width
+        # Threshold b sends bins <= b left; it exists for b < n_bins(f) - 1.
+        real_rows.append((np.arange(width) < n_bins[members, None] - 1).ravel())
+        classes.append((start, stop, int(width), members))
+        start = stop
+    size = start
+    real = np.concatenate(real_rows)
+    # The binner never makes a 1-bin feature, so a fit's trees skip the
+    # copy; take() keeps C order (B[:, features] would not), so each
+    # node's row gather reads contiguous rows.
+    kept = B if features.size == B.shape[1] else B.take(features, axis=1)
+    B_compact = kept + offsets
+    n_cols = features.size
+    lam = reg_lambda
 
     def best_split(idx: np.ndarray) -> tuple[float, int, int]:
         g_idx, h_idx = g[idx], h[idx]
         G, H = g_idx.sum(), h_idx.sum()
         parent = G * G / (H + lam)
-        bins = B_global[idx].ravel()
-        GL = prefix(np.bincount(bins, np.repeat(g_idx, n_features), size))
-        HL = prefix(np.bincount(bins, np.repeat(h_idx, n_features), size))
-        NL = prefix(np.bincount(bins, minlength=size))
+        bins = B_compact[idx].ravel()
+        GL = np.bincount(bins, np.repeat(g_idx, n_cols), size)
+        HL = np.bincount(bins, np.repeat(h_idx, n_cols), size)
+        NL = np.bincount(bins, minlength=size)
+        for start, stop, width, _ in classes:
+            for hist in (GL, HL, NL):
+                grid = hist[start:stop].reshape(-1, width)
+                np.cumsum(grid, axis=1, out=grid)
         GR, HR, NR = G - GL, H - HL, idx.size - NL
         valid = real & (NL >= min_child_samples) & (NR >= min_child_samples)
         gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
         gain[~valid] = -np.inf
-        k = int(np.argmax(gain))
-        if not valid.flat[k]:
-            return (-np.inf, -1, -1)
-        f, b = divmod(k, width - 1)
-        return (float(gain.flat[k]), f, b)
+        best = (-np.inf, -1, -1)
+        for start, stop, width, members in classes:
+            k = start + int(np.argmax(gain[start:stop]))
+            if not valid[k]:
+                continue
+            row, b = divmod(k - start, width)
+            cand = (float(gain[k]), int(members[row]), b)
+            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+        return best
 
     return best_split
 
@@ -145,7 +179,7 @@ class _HistTreeBuilder:
 
     def __init__(
         self,
-        binner: _Binner,
+        n_bins: np.ndarray,
         *,
         max_leaves: int,
         max_depth: int | None,
@@ -153,7 +187,7 @@ class _HistTreeBuilder:
         reg_lambda: float,
         min_gain: float,
     ) -> None:
-        self.binner = binner
+        self.n_bins = n_bins
         self.max_leaves = max_leaves
         self.max_depth = max_depth
         self.min_child_samples = min_child_samples
@@ -166,9 +200,8 @@ class _HistTreeBuilder:
         def leaf_value(idx: np.ndarray) -> float:
             return float(-g[idx].sum() / (h[idx].sum() + lam))
 
-        n_bins = np.array([self.binner.n_bins(f) for f in range(B.shape[1])])
         best_split = _split_search(
-            B, g, h, n_bins,
+            B, g, h, self.n_bins,
             min_child_samples=self.min_child_samples, reg_lambda=lam,
         )
 
@@ -278,7 +311,7 @@ class GradientBoostingClassifier:
         self.binner_ = _Binner(self.max_bins).fit(X)
         B = self.binner_.transform(X)
         builder = _HistTreeBuilder(
-            self.binner_,
+            self.binner_.n_bins_,
             max_leaves=self.max_leaves,
             max_depth=self.max_depth,
             min_child_samples=min(self.min_child_samples, max(1, n // 10)),

@@ -268,6 +268,104 @@ class TestHistSplitParity:
         monkeypatch.setattr(boosting, "_split_search", seed_search)
         np.testing.assert_array_equal(batched, fit())
 
+    @staticmethod
+    def _mixed_width(seed, n=600):
+        """Binned columns spanning width classes 2, 4, 32 and 256, in an
+        order that interleaves them, plus a 1-bin column and duplicated
+        columns (so features tie within a class)."""
+        rng = np.random.default_rng(seed)
+        wide = rng.integers(0, 220, size=n)
+        wide[:220] = np.arange(220)  # every bin present: 220 bins
+        mid = rng.integers(0, 30, size=n)
+        mid[:30] = np.arange(30)
+        B = np.column_stack([
+            rng.integers(0, 2, size=n),  # 2 bins
+            wide,  # 220 bins
+            np.zeros(n, dtype=np.int64),  # 1 bin: no threshold
+            mid,  # 30 bins
+            rng.integers(0, 4, size=n),  # 4 bins
+            wide,  # 220 bins, ties feature 1
+            rng.integers(0, 3, size=n),  # 3 bins
+            mid,  # 30 bins, ties feature 3
+        ])
+        n_bins = B.max(axis=0) + 1
+        p = rng.uniform(0.05, 0.95, size=n)
+        g = p - (wide + rng.integers(0, 60, size=n) > 140)
+        h = np.maximum(p * (1 - p), 1e-12)
+        return B, g, h, n_bins
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("min_child_samples", [1, 5, 60])
+    @pytest.mark.parametrize("reg_lambda", [1.0, 0.0])
+    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+    def test_mixed_width_classes(self, seed, min_child_samples, reg_lambda):
+        # reg_lambda=0 divides by an empty side's zero hessian in cells
+        # that are invalid anyway (both searches mask them to -inf).
+        B, g, h, n_bins = self._mixed_width(seed)
+        assert sorted(n_bins) == [1, 2, 3, 4, 30, 30, 220, 220]
+        kw = dict(min_child_samples=min_child_samples, reg_lambda=reg_lambda)
+        best_split = boosting._split_search(B, g, h, n_bins, **kw)
+        for idx in _node_subsets(B.shape[0], seed + 1):
+            assert best_split(idx) == seed_ref.seed_hist_best_split(
+                B, g, h, idx, n_bins, **kw
+            )
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_cross_class_tie_picks_lower_feature(self, wide_first):
+        # A 200-bin column whose bins <= 99 hold exactly the rows where a
+        # 2-bin column is 0: both split the node the same way.  Dyadic g
+        # and h keep every sum exact, so the two gains are equal to the
+        # bit and only the tie-break decides; the per-feature loop keeps
+        # the lower feature index whichever width class it sits in.
+        rng = np.random.default_rng(12)
+        n = 400
+        binary = np.repeat([0, 1], n // 2)
+        wide = np.where(binary == 0, rng.integers(0, 100, size=n),
+                        rng.integers(100, 200, size=n))
+        wide[:100], wide[-100:] = np.arange(100), np.arange(100, 200)
+        noise = rng.integers(0, 4, size=n)
+        cols = [wide, binary] if wide_first else [binary, wide]
+        B = np.column_stack(cols + [noise])
+        n_bins = B.max(axis=0) + 1
+        g = np.where(binary == 0, -0.5, 0.5) + 0.25 * rng.integers(-1, 2, size=n)
+        h = 0.25 * rng.integers(1, 3, size=n)
+        kw = dict(min_child_samples=1, reg_lambda=1.0)
+        idx = np.arange(n, dtype=np.intp)
+        expected = seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw)
+        assert expected[1:] == ((0, 99) if wide_first else (0, 0))
+        # Each column on its own reaches exactly the winning gain.
+        wide_col = 0 if wide_first else 1
+        for col, threshold in ((wide_col, 99), (1 - wide_col, 0)):
+            alone = seed_ref.seed_hist_best_split(
+                B[:, [col]], g, h, idx, n_bins[[col]], **kw
+            )
+            assert alone == (expected[0], 0, threshold)
+        assert boosting._split_search(B, g, h, n_bins, **kw)(idx) == expected
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_whole_fit_mixed_widths_matches_seed_search(self, monkeypatch, n_classes):
+        # At max_bins=255 the quantile edges put these columns in four
+        # width classes: 256 (the normal column, 255 bins), 64 (20 levels,
+        # 38 bins), 8 (the tie-heavy integers, 7-8 bins) and 2 (the
+        # constants, whose single edge leaves bin 0 empty).
+        X, y = _tie_heavy(13, n=300, n_classes=n_classes)
+        X[:, 7] = np.random.default_rng(14).integers(0, 20, size=X.shape[0])
+
+        def fit():
+            model = boosting.GradientBoostingClassifier(n_estimators=8, max_bins=255)
+            model.fit(X, y)
+            return model, model.predict_proba(X)
+
+        model, batched = fit()
+        widths = {1 << (int(nb) - 1).bit_length() for nb in model.binner_.n_bins_}
+        assert widths == {2, 8, 64, 256}
+
+        def seed_search(B, g, h, n_bins, **kw):
+            return lambda idx: seed_ref.seed_hist_best_split(B, g, h, idx, n_bins, **kw)
+
+        monkeypatch.setattr(boosting, "_split_search", seed_search)
+        np.testing.assert_array_equal(batched, fit()[1])
+
 
 class TestCartSplitParity:
     """CART split search: (feature, threshold) equals the per-feature loop."""
